@@ -4,7 +4,7 @@
  * the scalar reference backend and once with the best ISA this machine
  * offers, reports GB/s for both plus the speedup, and memcmp-verifies
  * that the integer codec kernels produced byte-identical output (the
- * cross-backend bitwise contract; axpy/dot are float kernels and are
+ * cross-backend bitwise contract; axpy is a float kernel and is
  * exempt). Runs single-threaded so the ratio isolates the ISA effect
  * from thread scaling (micro_parallel covers the latter).
  *
@@ -273,7 +273,7 @@ main(int argc, char **argv)
         }
     }
 
-    // --- GEMM micro-kernels (float: no bitwise contract) ---
+    // --- GEMM micro-kernel (float: no bitwise contract) ---
     {
         const std::int64_t kv = 1 << 12; // L1-resident vectors
         std::vector<float> x(src.begin(), src.begin() + kv);
@@ -282,13 +282,6 @@ main(int argc, char **argv)
                   static_cast<double>(kv) * sizeof(float) * 3, 0,
                   [&](const SimdOps &o, void *) {
                       o.axpy(kv, 1.0001f, x.data(), y.data());
-                  });
-        runKernel("gemm_dot",
-                  static_cast<double>(kv) * sizeof(float) * 2, 0,
-                  [&](const SimdOps &o, void *) {
-                      volatile float sink =
-                          o.dot(kv, x.data(), y.data());
-                      (void)sink;
                   });
     }
 

@@ -1334,6 +1334,18 @@ Executor::runMinibatch(const Tensor &input,
         last_stats.tier_bytes_in = tier1.bytes_in - tier0.bytes_in;
         last_stats.tier_write_ns = tier1.write_ns - tier0.write_ns;
         last_stats.tier_read_ns = tier1.read_ns - tier0.read_ns;
+        const std::uint64_t cap = device_pool_->cap();
+        last_stats.pool_cap_overrun_bytes =
+            cap > 0 && last_stats.peak_pool_bytes > cap
+                ? last_stats.peak_pool_bytes - cap
+                : 0;
+        if (last_stats.pool_cap_overrun_bytes > 0 && !pool_overrun_warned_) {
+            pool_overrun_warned_ = true;
+            GIST_WARN("device pool level peaked at ",
+                      last_stats.peak_pool_bytes, " B, over its cap of ",
+                      cap, " B (see pool_cap_overrun_bytes; reported once "
+                      "per executor)");
+        }
     }
 
     if (memprof)

@@ -136,6 +136,14 @@ struct ExecStats
     std::uint64_t tier_bytes_in = 0;  ///< tier -> device
     std::uint64_t tier_write_ns = 0;
     std::uint64_t tier_read_ns = 0;
+    /**
+     * Largest amount by which the pool level exceeded the DevicePool cap
+     * this minibatch (peak_pool_bytes - cap), 0 when it stayed within
+     * the cap or no capped pool is attached. Eviction treats the cap as
+     * a target: when nothing is evictable the level overshoots, and this
+     * is where that shows.
+     */
+    std::uint64_t pool_cap_overrun_bytes = 0;
 };
 
 /** Executes forward/backward minibatches over a Graph. */
@@ -504,6 +512,8 @@ class Executor
 
     /** Bounded device pool + slow tier (nullptr = unbounded device). */
     std::shared_ptr<DevicePool> device_pool_;
+    /** A cap overrun has been reported on stderr (once per executor). */
+    bool pool_overrun_warned_ = false;
     /** Device bytes in-flight evicts will free once their workers run
      *  (written by workers, read by enforcePoolCap). */
     std::atomic<std::uint64_t> pending_evict_bytes_{ 0 };

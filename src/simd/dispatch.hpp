@@ -16,9 +16,9 @@
  * available, else the best ISA the CPU reports (probed via
  * __builtin_cpu_supports on x86). setBackend() overrides at runtime
  * (bench/tests). The integer codec kernels are bitwise-identical across
- * backends by construction; the float GEMM kernels (axpy/dot) may round
- * differently (FMA, wider accumulator trees) and are only required to be
- * deterministic within a backend.
+ * backends by construction; the float GEMM kernels (axpy, gemmTile) may
+ * round differently (FMA vs. multiply-then-add) and are only required to
+ * be deterministic within a backend.
  *
  * Every function pointer operates on a caller-chunked range, so
  * parallelFor call sites dispatch once per chunk, not per element.
@@ -92,8 +92,22 @@ struct SimdOps
 
     /** y[i] += a * x[i]; backend-deterministic, not cross-backend exact. */
     void (*axpy)(std::int64_t n, float a, const float *x, float *y);
-    /** sum(x[i] * y[i]); backend-deterministic reduction order. */
-    float (*dot)(std::int64_t n, const float *x, const float *y);
+
+    /**
+     * GEMM register tile: for p = 0..kc-1 ascending,
+     *   C[i][j] += a_panel[p * gemm_mr + i] * b[p * ldb + j]
+     * over i < mr <= gemm_mr, j < nr <= gemm_nr (C row stride ldc),
+     * starting from C when @p accumulate, else from +0. Per element this
+     * is exactly the operation axpy applies (one multiply-add per p, in
+     * the same rounding form), so a tile equals this backend's axpy run
+     * row by row, bitwise. Rows of a_panel past mr are ignored; b and C
+     * are touched only inside the mr x nr tile.
+     */
+    void (*gemmTile)(std::int64_t kc, const float *a_panel, const float *b,
+                     std::int64_t ldb, float *c, std::int64_t ldc, int mr,
+                     int nr, bool accumulate);
+    int gemm_mr; ///< register-tile rows (A micro-panel width)
+    int gemm_nr; ///< register-tile columns
 };
 
 /** The active kernel table (resolves backend on first call). */

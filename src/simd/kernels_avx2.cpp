@@ -23,6 +23,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "simd/sf_codes.hpp"
@@ -417,42 +418,130 @@ axpyAvx2(std::int64_t n, float a, const float *x, float *y)
         _mm256_storeu_ps(y + j,
                          _mm256_fmadd_ps(va, _mm256_loadu_ps(x + j),
                                          _mm256_loadu_ps(y + j)));
+    // Fused like the vector body, so every element rounds once.
     for (; j < n; ++j)
-        y[j] += a * x[j];
+        y[j] = std::fma(a, x[j], y[j]);
 }
 
-float
-dotAvx2(std::int64_t n, const float *x, const float *y)
+constexpr int kGemmMrAvx2 = 6;
+constexpr int kGemmNrAvx2 = 16;
+
+/** Lane mask enabling the first n (0..8) of eight floats. */
+inline __m256i
+laneMask(int n)
 {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    __m256 acc2 = _mm256_setzero_ps();
-    __m256 acc3 = _mm256_setzero_ps();
-    std::int64_t p = 0;
-    for (; p + 32 <= n; p += 32) {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p),
-                               _mm256_loadu_ps(y + p), acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 8),
-                               _mm256_loadu_ps(y + p + 8), acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 16),
-                               _mm256_loadu_ps(y + p + 16), acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p + 24),
-                               _mm256_loadu_ps(y + p + 24), acc3);
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * MR x (NV * 8) register tile: MR * NV accumulators, one broadcast of
+ * A and NV loads of B per (p, row). With FULL false the last column
+ * vector is masked to the nr - (NV - 1) * 8 live lanes on every B load
+ * and C load/store, so nothing outside the tile is touched. The
+ * accumulators are named variables (one per row and column vector), not
+ * an array, so they stay in registers across the p loop.
+ */
+template <int MR, int NV, bool FULL>
+void
+gemmTileAvx2Impl(std::int64_t kc, const float *a_panel, const float *b,
+                 std::int64_t ldb, float *c, std::int64_t ldc, int nr,
+                 bool accumulate)
+{
+    const __m256i tail = laneMask(nr - (NV - 1) * 8);
+    // Column vector 0 is masked only in a one-vector edge tile, vector 1
+    // in any edge tile.
+    const auto load0 = [&](const float *p) {
+        return (NV == 2 || FULL) ? _mm256_loadu_ps(p)
+                                 : _mm256_maskload_ps(p, tail);
+    };
+    const auto load1 = [&](const float *p) {
+        return FULL ? _mm256_loadu_ps(p + 8)
+                    : _mm256_maskload_ps(p + 8, tail);
+    };
+    const auto store0 = [&](float *p, __m256 v) {
+        if (NV == 2 || FULL)
+            _mm256_storeu_ps(p, v);
+        else
+            _mm256_maskstore_ps(p, tail, v);
+    };
+    const auto store1 = [&](float *p, __m256 v) {
+        if (FULL)
+            _mm256_storeu_ps(p + 8, v);
+        else
+            _mm256_maskstore_ps(p + 8, tail, v);
+    };
+#define GIST_TILE_ROWS(X) X(0) X(1) X(2) X(3) X(4) X(5)
+#define GIST_TILE_DECL(i)                                                  \
+    __m256 c##i##0 = _mm256_setzero_ps();                                  \
+    __m256 c##i##1 = _mm256_setzero_ps();                                  \
+    if constexpr (MR > i) {                                                \
+        if (accumulate) {                                                  \
+            c##i##0 = load0(c + i * ldc);                                  \
+            if constexpr (NV == 2)                                         \
+                c##i##1 = load1(c + i * ldc);                              \
+        }                                                                  \
     }
-    for (; p + 8 <= n; p += 8)
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + p),
-                               _mm256_loadu_ps(y + p), acc0);
-    const __m256 acc = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                     _mm256_add_ps(acc2, acc3));
-    const __m128 lo = _mm256_castps256_ps128(acc);
-    const __m128 hi = _mm256_extractf128_ps(acc, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    float sum = _mm_cvtss_f32(s);
-    for (; p < n; ++p)
-        sum += x[p] * y[p];
-    return sum;
+#define GIST_TILE_FMA(i)                                                   \
+    if constexpr (MR > i) {                                                \
+        const __m256 va = _mm256_broadcast_ss(a + i);                      \
+        c##i##0 = _mm256_fmadd_ps(va, b0, c##i##0);                        \
+        if constexpr (NV == 2)                                             \
+            c##i##1 = _mm256_fmadd_ps(va, b1, c##i##1);                    \
+    }
+#define GIST_TILE_STORE(i)                                                 \
+    if constexpr (MR > i) {                                                \
+        store0(c + i * ldc, c##i##0);                                      \
+        if constexpr (NV == 2)                                             \
+            store1(c + i * ldc, c##i##1);                                  \
+    }
+    GIST_TILE_ROWS(GIST_TILE_DECL)
+    for (std::int64_t p = 0; p < kc; ++p) {
+        const float *bp = b + p * ldb;
+        const __m256 b0 = load0(bp);
+        const __m256 b1 = NV == 2 ? load1(bp) : b0;
+        const float *a = a_panel + p * kGemmMrAvx2;
+        GIST_TILE_ROWS(GIST_TILE_FMA)
+    }
+    GIST_TILE_ROWS(GIST_TILE_STORE)
+#undef GIST_TILE_STORE
+#undef GIST_TILE_FMA
+#undef GIST_TILE_DECL
+#undef GIST_TILE_ROWS
+}
+
+template <int MR>
+void
+gemmTileRowsAvx2(std::int64_t kc, const float *a_panel, const float *b,
+                 std::int64_t ldb, float *c, std::int64_t ldc, int nr,
+                 bool accumulate)
+{
+    if (nr == 16)
+        gemmTileAvx2Impl<MR, 2, true>(kc, a_panel, b, ldb, c, ldc, nr,
+                                      accumulate);
+    else if (nr > 8)
+        gemmTileAvx2Impl<MR, 2, false>(kc, a_panel, b, ldb, c, ldc, nr,
+                                       accumulate);
+    else if (nr == 8)
+        gemmTileAvx2Impl<MR, 1, true>(kc, a_panel, b, ldb, c, ldc, nr,
+                                      accumulate);
+    else
+        gemmTileAvx2Impl<MR, 1, false>(kc, a_panel, b, ldb, c, ldc, nr,
+                                       accumulate);
+}
+
+void
+gemmTileAvx2(std::int64_t kc, const float *a_panel, const float *b,
+             std::int64_t ldb, float *c, std::int64_t ldc, int mr, int nr,
+             bool accumulate)
+{
+    using Rows = void (*)(std::int64_t, const float *, const float *,
+                          std::int64_t, float *, std::int64_t, int, bool);
+    static constexpr Rows kByRows[kGemmMrAvx2] = {
+        gemmTileRowsAvx2<1>, gemmTileRowsAvx2<2>, gemmTileRowsAvx2<3>,
+        gemmTileRowsAvx2<4>, gemmTileRowsAvx2<5>, gemmTileRowsAvx2<6>,
+    };
+    kByRows[mr - 1](kc, a_panel, b, ldb, c, ldc, nr, accumulate);
 }
 
 } // namespace
@@ -476,7 +565,9 @@ avx2Ops()
         { sfEncodeCodesAvx2<kSfFp16>, sfEncodeCodesAvx2<kSfFp10>,
           sfEncodeCodesAvx2<kSfFp8> },
         axpyAvx2,
-        dotAvx2,
+        gemmTileAvx2,
+        kGemmMrAvx2,
+        kGemmNrAvx2,
     };
     return ops;
 }

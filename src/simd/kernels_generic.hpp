@@ -139,8 +139,9 @@ sfEncodeCodes(const float *src, std::int64_t n, std::uint32_t *codes)
 
 /* The float GEMM microkernels are NOT pinned unvectorized: the scalar
  * backend only has to be the bitwise reference for the integer codecs,
- * and letting the compiler vectorize axpy/dot keeps GIST_SIMD=scalar
- * from regressing GEMM against the pre-dispatch code. */
+ * and letting the compiler vectorize axpy/gemmTile keeps GIST_SIMD=scalar
+ * from regressing GEMM against the pre-dispatch code. Neither TU enables
+ * FMA, so both kernels round each multiply and each add separately. */
 
 inline void
 axpy(std::int64_t n, float a, const float *x, float *y)
@@ -149,22 +150,41 @@ axpy(std::int64_t n, float a, const float *x, float *y)
         y[j] += a * x[j];
 }
 
-inline float
-dot(std::int64_t n, const float *x, const float *y)
+inline constexpr int kGemmMr = 4;
+inline constexpr int kGemmNr = 8;
+
+inline void
+gemmTile(std::int64_t kc, const float *a_panel, const float *b,
+         std::int64_t ldb, float *c, std::int64_t ldc, int mr, int nr,
+         bool accumulate)
 {
-    // Four-lane accumulator split: exposes vector lanes and fixes the
-    // reduction order so results are deterministic per backend.
-    float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-    std::int64_t p = 0;
-    for (; p + 4 <= n; p += 4) {
-        acc0 += x[p] * y[p];
-        acc1 += x[p + 1] * y[p + 1];
-        acc2 += x[p + 2] * y[p + 2];
-        acc3 += x[p + 3] * y[p + 3];
+    float acc[kGemmMr][kGemmNr] = {};
+    if (accumulate)
+        for (int i = 0; i < mr; ++i)
+            for (int j = 0; j < nr; ++j)
+                acc[i][j] = c[i * ldc + j];
+    if (mr == kGemmMr && nr == kGemmNr) {
+        // Full tile: constant trip counts let the compiler unroll and
+        // vectorize the row updates.
+        for (std::int64_t p = 0; p < kc; ++p) {
+            const float *a = a_panel + p * kGemmMr;
+            const float *bp = b + p * ldb;
+            for (int i = 0; i < kGemmMr; ++i)
+                for (int j = 0; j < kGemmNr; ++j)
+                    acc[i][j] += a[i] * bp[j];
+        }
+    } else {
+        for (std::int64_t p = 0; p < kc; ++p) {
+            const float *a = a_panel + p * kGemmMr;
+            const float *bp = b + p * ldb;
+            for (int i = 0; i < mr; ++i)
+                for (int j = 0; j < nr; ++j)
+                    acc[i][j] += a[i] * bp[j];
+        }
     }
-    for (; p < n; ++p)
-        acc0 += x[p] * y[p];
-    return (acc0 + acc1) + (acc2 + acc3);
+    for (int i = 0; i < mr; ++i)
+        for (int j = 0; j < nr; ++j)
+            c[i * ldc + j] = acc[i][j];
 }
 
 } // namespace GIST_KIMPL_NS

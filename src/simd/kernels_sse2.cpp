@@ -169,7 +169,9 @@ sse2Ops()
         { k::sfEncodeCodes<kSfFp16>, k::sfEncodeCodes<kSfFp10>,
           k::sfEncodeCodes<kSfFp8> },
         k::axpy,
-        k::dot,
+        k::gemmTile,
+        k::kGemmMr,
+        k::kGemmNr,
     };
     return ops;
 }

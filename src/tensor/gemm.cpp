@@ -13,26 +13,31 @@ namespace gist {
 
 namespace {
 
-// Cache blocking: C row panels of MC rows are the parallel unit; the
-// reduction is tiled into KC slices and C columns into NC slices so the
-// active B tile (KC x NC floats = 128 KB) stays L2-resident while a
-// panel streams over it. Every C row is computed entirely inside one
-// chunk with a thread-count-independent loop order (KC slices ascending,
-// p ascending within a slice), so results are bitwise-identical at any
-// thread count.
-constexpr std::int64_t kMC = 32;
-constexpr std::int64_t kKC = 128;
-constexpr std::int64_t kNC = 256;
+// Cache blocking: the reduction runs in KC-row slices of op(B),
+// ascending; inside a slice, C row panels are the parallel unit, each
+// worked in blocks of MC rows whose packed alpha * A (MC x KC floats =
+// 24 KB) stays cache-resident while the slice streams past in
+// register-tile column strips. Every C element gets one multiply-add per
+// p, p ascending across the slices, whatever the thread count or
+// chunking, so results are bitwise-identical at any thread count. kMC
+// is a multiple of every backend's tile rows (6 on avx2, 4 otherwise).
+constexpr std::int64_t kMC = 24;
+constexpr std::int64_t kKC = 256;
 
-// Minimum estimated axpy traffic (elements) before gemmCsrA fans out to
-// the pool: below this the per-chunk dispatch plus the cold per-worker
-// arena scratch cost more than the nonzero work itself, so the whole
-// range runs as one inline chunk (bitwise-identical by the static
-// chunking contract).
-constexpr std::int64_t kMinCsrParallelWork = 1 << 20;
+// gemmCsrA's blocking: C row panels of kCsrMC rows are its parallel
+// unit and C columns are swept in kCsrNC-wide axpy strips.
+constexpr std::int64_t kCsrMC = 32;
+constexpr std::int64_t kCsrNC = 256;
+
+// Minimum multiply-adds (dense: per slice) or axpy elements (CSR)
+// before a GEMM fans out to the pool: below this the per-chunk dispatch
+// plus the cold per-worker arena scratch cost more than the work
+// itself, so the whole range runs as one inline chunk (bitwise-identical
+// by the static chunking contract).
+constexpr std::int64_t kMinParallelWork = 1 << 20;
 
 // B slab one CSR column block may touch (block_k rows x n floats):
-// 512 KB keeps the slab L2-resident while every row of a kMC panel
+// 512 KB keeps the slab L2-resident while every row of a kCsrMC panel
 // streams over it, instead of each row sweeping the whole of B.
 constexpr std::int64_t kCsrBSlabBytes = 512 << 10;
 
@@ -41,120 +46,203 @@ constexpr std::int64_t kCsrBSlabBytes = 512 << 10;
 // stride prefetcher cannot see them coming.
 constexpr std::int64_t kCsrPrefetchDist = 8;
 
-inline void
-prefetchRead(const void *p)
+/**
+ * Checks shared by every entry point, plus the beta * C part of the
+ * update. Returns false when that was all there is to do (empty C,
+ * alpha == 0 or k == 0; beta == 0 then zero-fills, as BLAS semantics
+ * require even for garbage/NaN input C). Otherwise beta == 0 is left to
+ * the compute loops, which write C from +0 on first touch.
+ */
+bool
+gemmPrologue(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+             float beta, float *c)
 {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p);
-#else
-    (void)p;
-#endif
-}
-
-/** C *= beta over m*n elements (beta == 0 is folded into the compute
- *  loops instead — no separate zero-fill pass over C). */
-void
-scaleC(std::int64_t total, float beta, float *c)
-{
-    if (beta == 1.0f)
-        return;
-    parallelFor(0, total, chooseGrain(total, 4096),
-                [=](std::int64_t lo, std::int64_t hi) {
-                    if (beta == 0.0f)
-                        std::memset(c + lo, 0,
-                                    static_cast<size_t>(hi - lo) *
-                                        sizeof(float));
-                    else
-                        for (std::int64_t i = lo; i < hi; ++i)
-                            c[i] *= beta;
-                });
+    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
+    if (m == 0 || n == 0)
+        return false;
+    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
+    const bool compute = alpha != 0.0f && k > 0;
+    if ((!compute || beta != 0.0f) && beta != 1.0f)
+        parallelFor(0, m * n, chooseGrain(m * n, 4096),
+                    [=](std::int64_t lo, std::int64_t hi) {
+                        if (beta == 0.0f)
+                            std::memset(c + lo, 0,
+                                        static_cast<size_t>(hi - lo) *
+                                            sizeof(float));
+                        else
+                            for (std::int64_t i = lo; i < hi; ++i)
+                                c[i] *= beta;
+                    });
+    return compute;
 }
 
 /**
- * Row panel [i0, i1) of C for op(B) = B (row-major k x n): axpy form,
- * the inner j loop streams B and C rows and auto-vectorizes. When
- * beta == 0 each C segment is zero-initialized on first touch (kc slice
- * 0) while it is already cache-hot, replacing the old whole-matrix
- * zero-fill pass.
+ * Where the driver finds each row-major kc x n slice of op(B): in place
+ * (B itself, k x n), transposed into scratch (B stored n x k), or
+ * decoded into scratch by a pack callback.
+ */
+struct BSource
+{
+    const float *b = nullptr;
+    bool trans = false;
+    const PackFn *pack = nullptr;
+};
+
+/**
+ * dst (kc x n) = rows [pc, pc + kc) of op(B) = B^T, B stored n x k, in
+ * 4 x 4 blocks: four short reads along B rows, four short writes along
+ * dst rows, so neither side walks memory at a large stride per element.
  */
 void
-panelNoTransB(std::int64_t i0, std::int64_t i1, std::int64_t n,
-              std::int64_t k, bool trans_a, std::int64_t m, float alpha,
-              const float *a, const float *b, float beta, float *c)
+transposeSlice(const float *b, std::int64_t n, std::int64_t k,
+               std::int64_t pc, std::int64_t kc, float *dst)
 {
-    // Panels run on pool workers; the arena frame bumps this worker's
-    // own region, so the A-pack costs no heap allocation once the
-    // region is warm.
-    ArenaScope scope;
-    float *a_pack = nullptr;
-    if (trans_a)
-        a_pack = scope.alloc<float>(static_cast<size_t>((i1 - i0) * kKC));
-    const auto axpy = simd::ops().axpy;
-
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-        const std::int64_t kc = std::min(kKC, k - pc);
-        if (trans_a) {
-            // Gather the strided A^T slice once per (panel, kc slice) so
-            // the compute loop reads it contiguously.
-            for (std::int64_t i = i0; i < i1; ++i)
-                for (std::int64_t p = 0; p < kc; ++p)
-                    a_pack[static_cast<size_t>((i - i0) * kc + p)] =
-                        a[(pc + p) * m + i];
-        }
-        for (std::int64_t jc = 0; jc < n; jc += kNC) {
-            const std::int64_t nc = std::min(kNC, n - jc);
-            for (std::int64_t i = i0; i < i1; ++i) {
-                float *c_row = c + i * n + jc;
-                if (beta == 0.0f && pc == 0)
-                    std::memset(c_row, 0,
-                                static_cast<size_t>(nc) * sizeof(float));
-                const float *a_row = trans_a ? a_pack + (i - i0) * kc
-                                             : a + i * k + pc;
-                for (std::int64_t p = 0; p < kc; ++p) {
-                    const float a_val = alpha * a_row[p];
-                    if (a_val == 0.0f)
-                        continue;
-                    axpy(nc, a_val, b + (pc + p) * n + jc, c_row);
+    parallelFor(0, kc, chooseGrain(kc, 16, 4),
+                [=](std::int64_t p_lo, std::int64_t p_hi) {
+        for (std::int64_t j0 = 0; j0 < n; j0 += 4)
+            for (std::int64_t p0 = p_lo; p0 < p_hi; p0 += 4) {
+                const float *src = b + j0 * k + pc + p0;
+                float *out = dst + p0 * n + j0;
+                const std::int64_t jn = std::min<std::int64_t>(4, n - j0);
+                const std::int64_t pn = std::min<std::int64_t>(4, p_hi - p0);
+                if (jn == 4 && pn == 4) {
+                    float t[4][4];
+                    for (int j = 0; j < 4; ++j)
+                        for (int p = 0; p < 4; ++p)
+                            t[p][j] = src[j * k + p];
+                    for (int p = 0; p < 4; ++p)
+                        for (int j = 0; j < 4; ++j)
+                            out[p * n + j] = t[p][j];
+                } else {
+                    for (std::int64_t j = 0; j < jn; ++j)
+                        for (std::int64_t p = 0; p < pn; ++p)
+                            out[p * n + j] = src[j * k + p];
                 }
             }
+    });
+}
+
+/**
+ * Pack alpha * A as a kc x MR p-major micro-panel of mr rows, element
+ * (i, p) read from a[i * rs + p * ps] (rows past mr are never read).
+ * Returns true when any packed value is an exact zero.
+ */
+bool
+packMicroPanel(const float *a, std::int64_t rs, std::int64_t ps,
+               float alpha, int mr, std::int64_t kc, int MR, float *dst)
+{
+    bool zero = false;
+    for (std::int64_t p = 0; p < kc; ++p)
+        for (int i = 0; i < mr; ++i) {
+            const float v = alpha * a[i * rs + p * ps];
+            zero |= v == 0.0f;
+            dst[p * MR + i] = v;
+        }
+    return zero;
+}
+
+/**
+ * C rows [i0, i1) += alpha * op(A)[i0 .. i1) x [pc .. pc + kc) * bs,
+ * where bs is the row-major kc x n slice of op(B) (row stride n) and
+ * @p init makes this slice write C from +0 instead of accumulating.
+ *
+ * Zero skip (when @p skip_zeros): alpha * a == 0 contributes nothing
+ * (not even the +0 that would turn a -0 C into +0, or the NaN of
+ * 0 * Inf). A register tile cannot skip single products, so a
+ * micro-panel holding an exact zero runs as one axpy per nonzero product
+ * instead; every other micro-panel goes through the backend's tile
+ * kernel, which performs the same per-element multiply-add as axpy.
+ * Both forms give the same bits.
+ */
+void
+gemmPanel(bool trans_a, std::int64_t i0, std::int64_t i1, std::int64_t m,
+          std::int64_t n, std::int64_t k, float alpha, const float *a,
+          std::int64_t pc, std::int64_t kc, const float *bs, bool init,
+          bool skip_zeros, float *c)
+{
+    const simd::SimdOps &o = simd::ops();
+    const int MR = o.gemm_mr;
+    // Element (i, p) of op(A) is a[i * rs + p * ps].
+    const std::int64_t rs = trans_a ? 1 : k;
+    const std::int64_t ps = trans_a ? m : 1;
+    // Panels run on pool workers; the arena frame bumps this worker's
+    // own region, so the A pack costs no heap allocation once the
+    // region is warm.
+    ArenaScope scope;
+    float *a_pack = scope.alloc<float>(static_cast<size_t>(kMC * kc));
+    bool skip[kMC];
+    for (std::int64_t ic = i0; ic < i1; ic += kMC) {
+        const std::int64_t panels = (std::min(kMC, i1 - ic) + MR - 1) / MR;
+        const auto rows = [&](std::int64_t q) {
+            return static_cast<int>(
+                std::min<std::int64_t>(MR, i1 - ic - q * MR));
+        };
+        for (std::int64_t q = 0; q < panels; ++q) {
+            const std::int64_t r0 = ic + q * MR;
+            float *ap = a_pack + q * MR * kc;
+            skip[q] = packMicroPanel(a + r0 * rs + pc * ps, rs, ps, alpha,
+                                     rows(q), kc, MR, ap) &&
+                      skip_zeros;
+            for (int i = 0; skip[q] && i < rows(q); ++i) {
+                float *c_row = c + (r0 + i) * n;
+                if (init)
+                    std::memset(c_row, 0,
+                                static_cast<size_t>(n) * sizeof(float));
+                for (std::int64_t p = 0; p < kc; ++p)
+                    if (ap[p * MR + i] != 0.0f)
+                        o.axpy(n, ap[p * MR + i], bs + p * n, c_row);
+            }
+        }
+        for (std::int64_t jr = 0; jr < n; jr += o.gemm_nr) {
+            const int nr =
+                static_cast<int>(std::min<std::int64_t>(o.gemm_nr, n - jr));
+            for (std::int64_t q = 0; q < panels; ++q)
+                if (!skip[q])
+                    o.gemmTile(kc, a_pack + q * MR * kc, bs + jr, n,
+                               c + (ic + q * MR) * n + jr, n, rows(q), nr,
+                               !init);
         }
     }
 }
 
 /**
- * Row panel [i0, i1) of C for op(B) = B^T (B stored n x k): dot-product
- * form — both operand rows are contiguous, so the reduction is split
- * over four accumulators to expose vector lanes.
+ * The one dense driver: C = alpha * op(A) * op(B) + beta * C with op(B)
+ * delivered slice by slice from @p src. Each KC slice of op(B) is made
+ * row-major exactly once per call (or read in place) and every row panel
+ * consumes it from there. op(B) = B^T multiplies zeros in like any
+ * other value: its A is conv dW's dY, often half zeros after ReLU, where
+ * the row-axpy fallback would be slower than the tile.
  */
 void
-panelTransB(std::int64_t i0, std::int64_t i1, std::int64_t n,
-            std::int64_t k, bool trans_a, std::int64_t m, float alpha,
-            const float *a, const float *b, float beta, float *c)
+gemmDriver(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
+           float alpha, const float *a, const BSource &src, float beta,
+           float *c)
 {
+    if (!gemmPrologue(m, n, k, alpha, beta, c))
+        return;
+    GIST_ASSERT(a != nullptr, "gemm: null A with m, k > 0");
+    GIST_ASSERT(src.pack || src.b, "gemm: null B with k, n > 0");
     ArenaScope scope;
-    float *a_pack = nullptr;
-    if (trans_a) {
-        a_pack = scope.alloc<float>(static_cast<size_t>((i1 - i0) * k));
-        for (std::int64_t i = i0; i < i1; ++i)
-            for (std::int64_t p = 0; p < k; ++p)
-                a_pack[(i - i0) * k + p] = a[p * m + i];
-    }
-    const auto dot = simd::ops().dot;
-
-    for (std::int64_t jc = 0; jc < n; jc += kNC) {
-        const std::int64_t nc = std::min(kNC, n - jc);
-        for (std::int64_t i = i0; i < i1; ++i) {
-            const float *a_row = trans_a ? a_pack + (i - i0) * k
-                                         : a + i * k;
-            float *c_row = c + i * n + jc;
-            for (std::int64_t j = 0; j < nc; ++j) {
-                const float acc = dot(k, a_row, b + (jc + j) * k);
-                if (beta == 0.0f)
-                    c_row[j] = alpha * acc;
-                else
-                    c_row[j] += alpha * acc;
-            }
+    float *b_tile = nullptr;
+    if (src.pack || src.trans)
+        b_tile = scope.alloc<float>(static_cast<size_t>(
+            std::min(kKC, k) * n));
+    for (std::int64_t pc = 0; pc < k; pc += kKC) {
+        const std::int64_t kc = std::min(kKC, k - pc);
+        const float *bs = src.b + pc * n;
+        if (src.pack) {
+            (*src.pack)(pc * n, b_tile, kc * n);
+            bs = b_tile;
+        } else if (src.trans) {
+            transposeSlice(src.b, n, k, pc, kc, b_tile);
+            bs = b_tile;
         }
+        const bool init = pc == 0 && beta == 0.0f;
+        const std::int64_t grain = m * n * kc < kMinParallelWork ? m : kMC;
+        parallelFor(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
+            gemmPanel(trans_a, i0, i1, m, n, k, alpha, a, pc, kc, bs, init,
+                      !src.trans, c);
+        });
     }
 }
 
@@ -169,33 +257,7 @@ gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                        static_cast<long long>(m),
                        static_cast<long long>(n),
                        static_cast<long long>(k));
-    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
-    if (m == 0 || n == 0)
-        return;
-    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
-    if (alpha != 0.0f && k > 0) {
-        GIST_ASSERT(a != nullptr, "gemm: null A with m, k > 0");
-        GIST_ASSERT(b != nullptr, "gemm: null B with k, n > 0");
-    }
-
-    if (alpha == 0.0f || k == 0) {
-        // No A*B contribution: C = beta * C (beta == 0 zero-fills, as
-        // BLAS semantics require even for garbage/NaN input C).
-        scaleC(m * n, beta, c);
-        return;
-    }
-
-    // beta == 0 skips the separate zero/scale pass entirely; the panel
-    // kernels write-initialize C instead.
-    if (beta != 0.0f)
-        scaleC(m * n, beta, c);
-
-    parallelFor(0, m, kMC, [=](std::int64_t i0, std::int64_t i1) {
-        if (!trans_b)
-            panelNoTransB(i0, i1, n, k, trans_a, m, alpha, a, b, beta, c);
-        else
-            panelTransB(i0, i1, n, k, trans_a, m, alpha, a, b, beta, c);
-    });
+    gemmDriver(trans_a, m, n, k, alpha, a, { b, trans_b, nullptr }, beta, c);
 }
 
 void
@@ -207,64 +269,8 @@ gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
                        static_cast<long long>(m),
                        static_cast<long long>(n),
                        static_cast<long long>(k));
-    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
-    if (m == 0 || n == 0)
-        return;
-    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
-    if (alpha == 0.0f || k == 0) {
-        scaleC(m * n, beta, c);
-        return;
-    }
-    GIST_ASSERT(a != nullptr, "gemm: null A with m, k > 0");
-    if (beta != 0.0f)
-        scaleC(m * n, beta, c);
-
-    // The kc-slice loop sits OUTSIDE the row-panel parallelFor (the
-    // inverse of panelNoTransB's nesting) so each B slice is decoded
-    // exactly once per call, not once per panel. Per C element the
-    // contribution order is still kc slices ascending, p ascending —
-    // identical to the dense nesting.
-    ArenaScope scope;
-    float *b_tile =
-        scope.alloc<float>(static_cast<size_t>(kKC) *
-                           static_cast<size_t>(n));
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-        const std::int64_t kc = std::min(kKC, k - pc);
-        b_pack(pc * n, b_tile, kc * n);
-        parallelFor(0, m, kMC,
-                    [&, pc, kc](std::int64_t i0, std::int64_t i1) {
-            ArenaScope panel_scope;
-            float *a_pack = nullptr;
-            if (trans_a) {
-                a_pack = panel_scope.alloc<float>(
-                    static_cast<size_t>((i1 - i0) * kc));
-                for (std::int64_t i = i0; i < i1; ++i)
-                    for (std::int64_t p = 0; p < kc; ++p)
-                        a_pack[static_cast<size_t>((i - i0) * kc + p)] =
-                            a[(pc + p) * m + i];
-            }
-            const auto axpy = simd::ops().axpy;
-            for (std::int64_t jc = 0; jc < n; jc += kNC) {
-                const std::int64_t nc = std::min(kNC, n - jc);
-                for (std::int64_t i = i0; i < i1; ++i) {
-                    float *c_row = c + i * n + jc;
-                    if (beta == 0.0f && pc == 0)
-                        std::memset(c_row, 0,
-                                    static_cast<size_t>(nc) *
-                                        sizeof(float));
-                    const float *a_row = trans_a
-                                             ? a_pack + (i - i0) * kc
-                                             : a + i * k + pc;
-                    for (std::int64_t p = 0; p < kc; ++p) {
-                        const float a_val = alpha * a_row[p];
-                        if (a_val == 0.0f)
-                            continue;
-                        axpy(nc, a_val, b_tile + p * n + jc, c_row);
-                    }
-                }
-            }
-        });
-    }
+    gemmDriver(trans_a, m, n, k, alpha, a, { nullptr, false, &b_pack }, beta,
+               c);
 }
 
 void
@@ -275,23 +281,15 @@ gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                        static_cast<long long>(m),
                        static_cast<long long>(n),
                        static_cast<long long>(k));
-    GIST_ASSERT(m >= 0 && n >= 0 && k >= 0, "bad gemm dims");
-    if (m == 0 || n == 0)
+    if (!gemmPrologue(m, n, k, alpha, beta, c))
         return;
-    GIST_ASSERT(c != nullptr, "gemm: null C with m, n > 0");
-    if (alpha == 0.0f || k == 0) {
-        scaleC(m * n, beta, c);
-        return;
-    }
     GIST_ASSERT(a.numel == m * k, "csr A holds ", a.numel,
                 " values, expected ", m * k);
     GIST_ASSERT(b != nullptr, "gemm: null B with k, n > 0");
-    if (beta != 0.0f)
-        scaleC(m * n, beta, c);
 
     const std::int64_t est_work = a.nnz * n;
     const std::int64_t grain =
-        est_work < kMinCsrParallelWork ? m : kMC;
+        est_work < kMinParallelWork ? m : kCsrMC;
     // A-column block: the B rows a block can reach form an L2-resident
     // slab that all rows of a panel reuse, instead of each row sweeping
     // the whole of B (the dense path's KC slicing, adapted to the
@@ -301,8 +299,8 @@ gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                 (static_cast<std::int64_t>(sizeof(float)) * n));
     parallelFor(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
         const auto axpy = simd::ops().axpy;
-        for (std::int64_t ip = i0; ip < i1; ip += kMC) {
-            const std::int64_t ie = std::min(ip + kMC, i1);
+        for (std::int64_t ip = i0; ip < i1; ip += kCsrMC) {
+            const std::int64_t ie = std::min(ip + kCsrMC, i1);
             const std::int64_t rows = ie - ip;
             ArenaScope scope;
             // Exact per-panel entry bound straight from row_ptr (the
@@ -386,11 +384,11 @@ gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                     if (t0 == t1)
                         continue;
                     float *c_row = c + (ip + r) * n;
-                    for (std::int64_t jc = 0; jc < n; jc += kNC) {
-                        const std::int64_t nc = std::min(kNC, n - jc);
+                    for (std::int64_t jc = 0; jc < n; jc += kCsrNC) {
+                        const std::int64_t nc = std::min(kCsrNC, n - jc);
                         for (std::int64_t t = t0; t < t1; ++t) {
                             if (t + kCsrPrefetchDist < t1)
-                                prefetchRead(
+                                __builtin_prefetch(
                                     b +
                                     p_idx[t + kCsrPrefetchDist] * n +
                                     jc);

@@ -18,7 +18,11 @@ namespace gist {
  * C = alpha * op(A) * op(B) + beta * C.
  *
  * All matrices are dense row-major. op(A) is A (m x k) or A^T when
- * @p trans_a (A stored k x m); likewise for B.
+ * @p trans_a (A stored k x m); likewise for B. Per C element: one
+ * multiply-add per p, p ascending, starting from beta * C (+0 when
+ * beta == 0), with every product whose alpha * a is exactly zero
+ * skipped unless @p trans_b — bitwise-identical at any thread count
+ * (DESIGN.md 5d).
  *
  * @param m rows of op(A) and C
  * @param n cols of op(B) and C
@@ -30,13 +34,11 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 /**
  * gemm() with op(B) = B (k x n row-major) supplied by a pack callback
- * instead of a dense pointer: each KC-row reduction slice of B is
- * decoded once into step-arena scratch and every C row panel consumes
- * it from there, so the resident B footprint is KC * n floats instead
- * of the full k * n decode buffer. The slice/panel loop structure, the
- * zero-initialization point and the per-element accumulation order all
- * match gemm(trans_a, false, ...) exactly — the result is
- * bitwise-identical to decoding B densely first.
+ * instead of a dense pointer: the same driver, with each KC-row
+ * reduction slice of B decoded once into step-arena scratch instead of
+ * read in place, so the resident B footprint is KC * n floats instead
+ * of the full k * n decode buffer. The result is bitwise-identical to
+ * decoding B densely first and calling gemm(trans_a, false, ...).
  */
 void gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n,
                  std::int64_t k, float alpha, const float *a,
@@ -47,10 +49,10 @@ void gemmPackedB(bool trans_a, std::int64_t m, std::int64_t n,
  * flat-CSR form: walks row_ptr/col_idx directly and issues one axpy per
  * stored nonzero, so compute scales with (1 - sparsity) and the A
  * operand is never decoded to dense. Per C row the nonzeros are visited
- * in ascending flat order with the same column tiling and axpy widths
- * as the dense path, so the result is bitwise-identical to decoding A
- * and calling gemm(false, false, ...). @p a must hold exactly m * k
- * encoded values.
+ * in ascending flat order, one axpy each, which is the per-element
+ * operation sequence of the dense path, so the result is
+ * bitwise-identical to decoding A and calling gemm(false, false, ...).
+ * @p a must hold exactly m * k encoded values.
  */
 void gemmCsrA(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const CsrConstView &a, const float *b, float beta, float *c);

@@ -1,5 +1,6 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "memory/arena.hpp"
@@ -9,6 +10,64 @@
 
 namespace gist {
 
+namespace {
+
+/**
+ * Output positions [lo, hi) along one axis whose tap at kernel offset
+ * @p kk reads inside the input (pos * stride - pad + kk in [0, in)); the
+ * positions before lo and from hi on read the zero padding.
+ */
+struct ValidRange
+{
+    std::int64_t lo, hi;
+};
+
+ValidRange
+validRange(std::int64_t out, std::int64_t in, std::int64_t stride,
+           std::int64_t pad, std::int64_t kk)
+{
+    const std::int64_t first = pad - kk;      // least pos * stride
+    const std::int64_t last = in - 1 + pad - kk; // greatest pos * stride
+    const std::int64_t lo =
+        first <= 0 ? 0 : std::min(out, (first + stride - 1) / stride);
+    const std::int64_t hi = last < 0 ? 0 : std::min(out, last / stride + 1);
+    return { lo, std::max(lo, hi) };
+}
+
+/** One im2col output row: zero edges, then a copy (stride 1) or a
+ *  strided gather of the input row @p src from column lo * sw - pw + kw. */
+void
+fillColRow(float *dst, const float *src, std::int64_t out_w, ValidRange r,
+           std::int64_t sw, std::int64_t pw, std::int64_t kw)
+{
+    std::fill(dst, dst + r.lo, 0.0f);
+    if (r.hi > r.lo) {
+        const float *s = src + (r.lo * sw - pw + kw);
+        if (sw == 1)
+            std::memcpy(dst + r.lo, s,
+                        static_cast<size_t>(r.hi - r.lo) * sizeof(float));
+        else
+            for (std::int64_t ow = r.lo; ow < r.hi; ++ow)
+                dst[ow] = s[(ow - r.lo) * sw];
+    }
+    std::fill(dst + r.hi, dst + out_w, 0.0f);
+}
+
+/** dst[t * stride] += src[t] for t < n, ascending. */
+void
+addColRow(float *__restrict dst, const float *__restrict src, std::int64_t n,
+          std::int64_t stride)
+{
+    if (stride == 1)
+        for (std::int64_t t = 0; t < n; ++t)
+            dst[t] += src[t];
+    else
+        for (std::int64_t t = 0; t < n; ++t)
+            dst[t * stride] += src[t];
+}
+
+} // namespace
+
 void
 im2col(const ConvGeometry &geom, const float *image, float *columns)
 {
@@ -17,6 +76,10 @@ im2col(const ConvGeometry &geom, const float *image, float *columns)
     const std::int64_t out_w = geom.outW();
     const std::int64_t kernel = geom.kernel_h * geom.kernel_w;
     const std::int64_t rows = geom.in_c * kernel;
+    // Unit strides with out_w == in_w: an output row's image taps sit at
+    // one constant offset from their column-matrix positions.
+    const bool contiguous =
+        geom.stride_h == 1 && geom.stride_w == 1 && out_w == geom.in_w;
     // Each (c, kh, kw) triple owns one disjoint output row of `columns`,
     // so the row range parallelizes with no synchronization.
     parallelFor(0, rows, chooseGrain(rows, 1),
@@ -27,22 +90,38 @@ im2col(const ConvGeometry &geom, const float *image, float *columns)
             const std::int64_t kw = row % geom.kernel_w;
             float *out_row = columns + row * (out_h * out_w);
             const float *img_plane = image + c * geom.in_h * geom.in_w;
-            for (std::int64_t oh = 0; oh < out_h; ++oh) {
-                const std::int64_t ih =
-                    oh * geom.stride_h - geom.pad_h + kh;
-                if (ih < 0 || ih >= geom.in_h) {
-                    for (std::int64_t ow = 0; ow < out_w; ++ow)
-                        out_row[oh * out_w + ow] = 0.0f;
-                    continue;
+            const ValidRange oh_r = validRange(out_h, geom.in_h,
+                                               geom.stride_h, geom.pad_h, kh);
+            const ValidRange ow_r = validRange(out_w, geom.in_w,
+                                               geom.stride_w, geom.pad_w, kw);
+            std::fill(out_row, out_row + oh_r.lo * out_w, 0.0f);
+            if (contiguous && oh_r.lo < oh_r.hi && ow_r.lo < ow_r.hi) {
+                // The valid taps are one run of the image plane at a
+                // constant shift: copy it whole, then zero the padding
+                // columns it carried over from neighbouring rows.
+                const std::int64_t first = oh_r.lo * out_w + ow_r.lo;
+                const std::int64_t last = (oh_r.hi - 1) * out_w + ow_r.hi;
+                const std::int64_t shift =
+                    (kh - geom.pad_h) * geom.in_w + (kw - geom.pad_w);
+                std::memcpy(out_row + first, img_plane + (first + shift),
+                            static_cast<size_t>(last - first) *
+                                sizeof(float));
+                for (std::int64_t oh = oh_r.lo; oh < oh_r.hi; ++oh) {
+                    float *dst = out_row + oh * out_w;
+                    std::fill(dst, dst + ow_r.lo, 0.0f);
+                    std::fill(dst + ow_r.hi, dst + out_w, 0.0f);
                 }
-                const float *img_row = img_plane + ih * geom.in_w;
-                for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                    const std::int64_t iw =
-                        ow * geom.stride_w - geom.pad_w + kw;
-                    out_row[oh * out_w + ow] =
-                        (iw < 0 || iw >= geom.in_w) ? 0.0f : img_row[iw];
+            } else {
+                for (std::int64_t oh = oh_r.lo; oh < oh_r.hi; ++oh) {
+                    const std::int64_t ih =
+                        oh * geom.stride_h - geom.pad_h + kh;
+                    fillColRow(out_row + oh * out_w,
+                               img_plane + ih * geom.in_w, out_w, ow_r,
+                               geom.stride_w, geom.pad_w, kw);
                 }
             }
+            std::fill(out_row + oh_r.hi * out_w,
+                      out_row + out_h * out_w, 0.0f);
         }
     });
 }
@@ -147,6 +226,11 @@ im2colPacked(const ConvGeometry &geom, const PackFn &pack,
         ArenaScope scope;
         float *strip =
             scope.alloc<float>(static_cast<size_t>(geom.in_w));
+        auto *ow_r =
+            scope.alloc<ValidRange>(static_cast<size_t>(geom.kernel_w));
+        for (std::int64_t kw = 0; kw < geom.kernel_w; ++kw)
+            ow_r[kw] = validRange(out_w, geom.in_w, geom.stride_w,
+                                  geom.pad_w, kw);
         for (std::int64_t c = c0; c < c1; ++c) {
             float *band = columns + c * kernel * p;
             // Zero first: (kh, oh) pairs whose input row falls outside
@@ -168,19 +252,11 @@ im2colPacked(const ConvGeometry &geom, const PackFn &pack,
                     const std::int64_t oh = oh_num / geom.stride_h;
                     if (oh >= out_h)
                         continue;
-                    for (std::int64_t kw = 0; kw < geom.kernel_w;
-                         ++kw) {
-                        float *out_row =
-                            band + (kh * geom.kernel_w + kw) * p +
-                            oh * out_w;
-                        for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                            const std::int64_t iw =
-                                ow * geom.stride_w - geom.pad_w + kw;
-                            out_row[ow] = (iw < 0 || iw >= geom.in_w)
-                                              ? 0.0f
-                                              : strip[iw];
-                        }
-                    }
+                    for (std::int64_t kw = 0; kw < geom.kernel_w; ++kw)
+                        fillColRow(band + (kh * geom.kernel_w + kw) * p +
+                                       oh * out_w,
+                                   strip, out_w, ow_r[kw], geom.stride_w,
+                                   geom.pad_w, kw);
                 }
             }
         }
@@ -208,18 +284,23 @@ col2im(const ConvGeometry &geom, const float *columns, float *image)
                 for (std::int64_t kw = 0; kw < geom.kernel_w;
                      ++kw, ++row) {
                     const float *in_row = columns + row * (out_h * out_w);
-                    for (std::int64_t oh = 0; oh < out_h; ++oh) {
+                    const ValidRange oh_r =
+                        validRange(out_h, geom.in_h, geom.stride_h,
+                                   geom.pad_h, kh);
+                    const ValidRange ow_r =
+                        validRange(out_w, geom.in_w, geom.stride_w,
+                                   geom.pad_w, kw);
+                    if (ow_r.lo == ow_r.hi)
+                        continue;
+                    for (std::int64_t oh = oh_r.lo; oh < oh_r.hi; ++oh) {
                         const std::int64_t ih =
                             oh * geom.stride_h - geom.pad_h + kh;
-                        if (ih < 0 || ih >= geom.in_h)
-                            continue;
-                        float *img_row = img_plane + ih * geom.in_w;
-                        for (std::int64_t ow = 0; ow < out_w; ++ow) {
-                            const std::int64_t iw =
-                                ow * geom.stride_w - geom.pad_w + kw;
-                            if (iw >= 0 && iw < geom.in_w)
-                                img_row[iw] += in_row[oh * out_w + ow];
-                        }
+                        // dst[0] is image column iw of output ow_r.lo.
+                        float *dst = img_plane + ih * geom.in_w +
+                                     (ow_r.lo * geom.stride_w -
+                                      geom.pad_w + kw);
+                        addColRow(dst, in_row + oh * out_w + ow_r.lo,
+                                  ow_r.hi - ow_r.lo, geom.stride_w);
                     }
                 }
             }

@@ -330,6 +330,7 @@ TrainLoop::executeStep()
             .field("encoded_bytes", stats.encoded_bytes)
             .field("dense_bytes_replaced", stats.dense_bytes_replaced)
             .field("peak_pool_bytes", stats.peak_pool_bytes)
+            .field("pool_cap_overrun_bytes", stats.pool_cap_overrun_bytes)
             .field("codec_stall_seconds",
                    static_cast<double>(stats.codec_stall_ns) / 1e9)
             .field("codec_stalls",

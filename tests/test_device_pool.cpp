@@ -543,5 +543,42 @@ TEST(DevicePoolPlanner, SwapSlotsExecuteUnderTheirPlan)
     EXPECT_GT(exec.stats().tier_evictions, 0u);
 }
 
+/** Peak-over-cap of one tiny-ResNet minibatch under the lossless
+ *  hybrid plan at @p budget with a DevicePool capped at @p cap. */
+ExecStats
+tinyResnetUnderCap(std::uint64_t budget, std::uint64_t cap)
+{
+    Graph g = models::tinyResnet(32);
+    GistConfig cfg = GistConfig::lossless();
+    cfg.mem_budget_bytes = budget;
+    cfg.device_pool_bytes = cap;
+    const BuiltSchedule schedule = buildSchedule(g, cfg);
+    Rng rng(5);
+    g.initParams(rng);
+    Executor exec(g);
+    applyToExecutor(schedule, exec);
+    EXPECT_NE(exec.devicePool(), nullptr);
+    Rng drng(6);
+    const Tensor batch =
+        Tensor::uniform(g.node(0).out_shape, drng, 0.0f, 1.0f);
+    const std::vector<std::int32_t> labels(32, 1);
+    exec.runMinibatch(batch, labels);
+    return exec.stats();
+}
+
+TEST(DevicePool, CapOverrunIsReported)
+{
+    // Nothing is evictable at the peak of this plan, so the level runs
+    // past a 2 MiB cap; the overrun must be reported, not hidden.
+    const std::uint64_t cap = 2ull << 20;
+    const ExecStats tight = tinyResnetUnderCap(3300000, cap);
+    EXPECT_GT(tight.peak_pool_bytes, cap);
+    EXPECT_EQ(tight.pool_cap_overrun_bytes, tight.peak_pool_bytes - cap);
+
+    const ExecStats generous = tinyResnetUnderCap(3300000, 64ull << 20);
+    EXPECT_LE(generous.peak_pool_bytes, 64ull << 20);
+    EXPECT_EQ(generous.pool_cap_overrun_bytes, 0u);
+}
+
 } // namespace
 } // namespace gist

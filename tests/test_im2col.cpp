@@ -1,13 +1,17 @@
 /**
  * @file
- * im2col/col2im tests: explicit small cases, and the adjoint property
- * <im2col(x), y> == <x, col2im(y)> which convolution backward relies on.
+ * im2col/col2im tests: explicit small cases, the adjoint property
+ * <im2col(x), y> == <x, col2im(y)> which convolution backward relies on,
+ * and bitwise equality of the row-copy kernels with the per-element
+ * oracles over a geometry sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
+#include "im2col_oracle.hpp"
 #include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
@@ -137,6 +141,80 @@ TEST(Col2im, AccumulatesOverlappingTaps)
     col2im(g, cols.data(), img.data());
     EXPECT_FLOAT_EQ(img[4], 4.0f); // center: 4 overlapping contributions
     EXPECT_FLOAT_EQ(img[0], 1.0f); // corner: 1 contribution
+}
+
+/** Run im2col, im2colPacked and col2im on @p g against the oracles. */
+void
+expectMatchesOracles(const ConvGeometry &g, Rng &rng)
+{
+    const std::int64_t image = g.in_c * g.in_h * g.in_w;
+    const size_t cols = static_cast<size_t>(g.colRows() * g.colCols());
+    // Two images back to back; the packed path reads the second.
+    std::vector<float> x(static_cast<size_t>(2 * image));
+    for (auto &v : x)
+        v = rng.uniform() < 0.1f ? -0.0f : rng.normal();
+    const float *x1 = x.data() + image;
+
+    std::vector<float> got(cols, 7.0f), want(cols, -7.0f);
+    im2col(g, x1, got.data());
+    test::im2colOracle(g, x1, want.data());
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(), cols * sizeof(float)))
+        << "im2col";
+
+    const auto pack = [&](std::int64_t offset, float *dst, std::int64_t n) {
+        std::memcpy(dst, x.data() + offset,
+                    static_cast<size_t>(n) * sizeof(float));
+    };
+    std::fill(got.begin(), got.end(), 7.0f);
+    std::fill(want.begin(), want.end(), -7.0f);
+    im2colPacked(g, pack, image, got.data());
+    test::im2colPackedOracle(g, pack, image, want.data());
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(), cols * sizeof(float)))
+        << "im2colPacked";
+
+    std::vector<float> y(cols);
+    for (auto &v : y)
+        v = rng.normal();
+    std::vector<float> img_got(static_cast<size_t>(image));
+    for (auto &v : img_got)
+        v = rng.normal();
+    std::vector<float> img_want = img_got;
+    col2im(g, y.data(), img_got.data());
+    test::col2imOracle(g, y.data(), img_want.data());
+    ASSERT_EQ(0, std::memcmp(img_got.data(), img_want.data(),
+                             img_got.size() * sizeof(float)))
+        << "col2im";
+}
+
+TEST(Im2colOracle, RowCopyKernelsMatchPerElementOraclesBitwise)
+{
+    Rng rng(515);
+    const std::int64_t sizes[][2] = { { 7, 9 }, { 5, 11 }, { 9, 3 } };
+    int checked = 0;
+    for (std::int64_t kh = 1; kh <= 5; ++kh)
+        for (std::int64_t kw = 1; kw <= 5; ++kw)
+            for (std::int64_t sh = 1; sh <= 3; ++sh)
+                for (std::int64_t sw = 1; sw <= 3; ++sw)
+                    for (std::int64_t ph = 0; ph <= kh; ++ph)
+                        for (std::int64_t pw = 0; pw <= kw; ++pw)
+                            for (const auto &hw : sizes) {
+                                const ConvGeometry g{ 2,  hw[0], hw[1],
+                                                      kh, kw,    sh,
+                                                      sw, ph,    pw };
+                                if (g.outH() <= 0 || g.outW() <= 0)
+                                    continue;
+                                SCOPED_TRACE(::testing::Message()
+                                             << "h " << hw[0] << " w "
+                                             << hw[1] << " k " << kh << "x"
+                                             << kw << " s " << sh << "x"
+                                             << sw << " p " << ph << "x"
+                                             << pw);
+                                expectMatchesOracles(g, rng);
+                                if (HasFatalFailure())
+                                    return;
+                                ++checked;
+                            }
+    EXPECT_GT(checked, 5000);
 }
 
 } // namespace

@@ -6,13 +6,16 @@
  * encode/decode/quantize, binarize pack/backward, CSR nonzero count)
  * over a value sweep that hits the nasty corners — denormals, ±inf,
  * NaN, ±0, RNE ties, format overflow/underflow boundaries, and spans
- * with odd tails. The float kernels (axpy/dot) are only required to be
- * close (they may use FMA / wider reductions), so they get a tolerance
- * check. The GIST_SIMD env plumbing is exercised via initFromEnv().
+ * with odd tails. The float axpy is only required to be close across
+ * backends (it may use FMA), so it gets a tolerance check; each
+ * backend's GEMM register tile must equal that backend's own axpy run
+ * row by row, bitwise. The GIST_SIMD env plumbing is exercised via
+ * initFromEnv().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -103,6 +106,14 @@ sweepValues()
     return v;
 }
 
+/** memcmp that is also defined for empty spans, whose vectors may hand
+ *  out null data pointers. */
+int
+compareBytes(const void *a, const void *b, size_t bytes)
+{
+    return bytes == 0 ? 0 : std::memcmp(a, b, bytes);
+}
+
 /** Span lengths with every tail shape (block, vector, and word tails). */
 const std::int64_t kSpanSizes[] = { 0,  1,  2,  3,    5,    7,    8,
                                     9,  15, 16, 31,   63,   64,   65,
@@ -164,14 +175,14 @@ TEST_F(SimdEquivalence, SmallFloatKernelsBitwiseIdenticalAcrossBackends)
 
                 std::vector<float> dec(static_cast<size_t>(n));
                 o.sfDecode[f](ref_words.data(), n, dec.data());
-                ASSERT_EQ(0, std::memcmp(dec.data(), ref_dec.data(),
-                                         static_cast<size_t>(n) * 4))
+                ASSERT_EQ(0, compareBytes(dec.data(), ref_dec.data(),
+                                          static_cast<size_t>(n) * 4))
                     << o.name << " decode fmt " << f << " n " << n;
 
                 std::vector<float> quant(src, src + n);
                 o.sfQuantize[f](quant.data(), n);
-                ASSERT_EQ(0, std::memcmp(quant.data(), ref_dec.data(),
-                                         static_cast<size_t>(n) * 4))
+                ASSERT_EQ(0, compareBytes(quant.data(), ref_dec.data(),
+                                          static_cast<size_t>(n) * 4))
                     << o.name << " quantize fmt " << f << " n " << n;
             }
         }
@@ -229,8 +240,8 @@ TEST_F(SimdEquivalence, BinarizeKernelsBitwiseIdenticalAcrossBackends)
 
             std::vector<float> dx(static_cast<size_t>(n));
             o.binarizeBackward(ref_bits.data(), dy.data(), n, dx.data());
-            ASSERT_EQ(0, std::memcmp(dx.data(), ref_dx.data(),
-                                     static_cast<size_t>(n) * 4))
+            ASSERT_EQ(0, compareBytes(dx.data(), ref_dx.data(),
+                                      static_cast<size_t>(n) * 4))
                 << o.name << " binarize backward n " << n;
         }
     }
@@ -286,7 +297,7 @@ TEST_F(SimdEquivalence, CountNonzeroParityAcrossBackends)
             << opsFor(b).name;
 }
 
-TEST_F(SimdEquivalence, AxpyDotCloseToScalarReference)
+TEST_F(SimdEquivalence, AxpyCloseToScalarReference)
 {
     Rng rng(2024);
     const std::int64_t sizes[] = { 1, 3, 7, 8, 9, 31, 32, 33, 100, 1000 };
@@ -301,13 +312,9 @@ TEST_F(SimdEquivalence, AxpyDotCloseToScalarReference)
 
         // Double-precision reference bounds every backend.
         std::vector<double> yd(y0.begin(), y0.end());
-        double dotd = 0.0;
-        for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t i = 0; i < n; ++i)
             yd[static_cast<size_t>(i)] +=
                 static_cast<double>(a) * x[static_cast<size_t>(i)];
-            dotd += static_cast<double>(x[static_cast<size_t>(i)]) *
-                    y0[static_cast<size_t>(i)];
-        }
 
         for (Backend b : availableBackends()) {
             const SimdOps &o = opsFor(b);
@@ -317,11 +324,62 @@ TEST_F(SimdEquivalence, AxpyDotCloseToScalarReference)
                 ASSERT_NEAR(yd[static_cast<size_t>(i)],
                             y[static_cast<size_t>(i)], 1e-5)
                     << o.name << " axpy n " << n << " i " << i;
-
-            const float d = o.dot(n, x.data(), y0.data());
-            ASSERT_NEAR(dotd, d, 1e-3 * std::max<double>(1.0, n))
-                << o.name << " dot n " << n;
         }
+    }
+}
+
+TEST_F(SimdEquivalence, GemmTileMatchesRowAxpyBitwise)
+{
+    // The tile must perform, per element, exactly what the backend's
+    // axpy does: one multiply-add per p, p ascending, from C or from +0.
+    // B and C carry row strides wider than the tile, and guard values
+    // around the tile must stay untouched (masked edges).
+    constexpr std::int64_t kMaxKc = 300;
+    Rng rng(77);
+    for (Backend b : availableBackends()) {
+        const SimdOps &o = opsFor(b);
+        const int MR = o.gemm_mr;
+        const int NR = o.gemm_nr;
+        const std::int64_t ldb = NR + 3;
+        const std::int64_t ldc = NR + 5;
+        std::vector<float> a_panel(static_cast<size_t>(kMaxKc * MR));
+        std::vector<float> bmat(static_cast<size_t>(kMaxKc * ldb));
+        std::vector<float> c0(static_cast<size_t>((MR + 1) * ldc));
+        for (auto &v : a_panel)
+            v = rng.normal();
+        for (auto &v : bmat)
+            v = rng.normal();
+        for (auto &v : c0)
+            v = rng.normal();
+        // A denormal and a signed zero in the panel, an exact zero in B.
+        a_panel[3] = 1e-40f;
+        a_panel[5] = -0.0f;
+        bmat[7] = 0.0f;
+        std::vector<float> tile(c0.size()), ref(c0.size());
+        for (int mr = 1; mr <= MR; ++mr)
+            for (int nr = 1; nr <= NR; ++nr)
+                for (std::int64_t kc = 0; kc <= kMaxKc; ++kc)
+                    for (bool accumulate : { false, true }) {
+                        tile = c0;
+                        ref = c0;
+                        o.gemmTile(kc, a_panel.data(), bmat.data(), ldb,
+                                   tile.data(), ldc, mr, nr, accumulate);
+                        for (int i = 0; i < mr; ++i) {
+                            float *row = ref.data() + i * ldc;
+                            if (!accumulate)
+                                std::fill(row, row + nr, 0.0f);
+                            for (std::int64_t p = 0; p < kc; ++p)
+                                o.axpy(nr, a_panel[static_cast<size_t>(
+                                               p * MR + i)],
+                                       bmat.data() + p * ldb, row);
+                        }
+                        ASSERT_EQ(0, std::memcmp(tile.data(), ref.data(),
+                                                 tile.size() *
+                                                     sizeof(float)))
+                            << o.name << " mr " << mr << " nr " << nr
+                            << " kc " << kc << " accumulate "
+                            << accumulate;
+                    }
     }
 }
 
